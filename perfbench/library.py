@@ -148,14 +148,17 @@ class Library:
         trace_prefix: str,
         on_call: Optional[Callable[[str], None]] = None,
     ) -> List[Op]:
-        """Repeat the pass (possibly partially) until ``until``."""
+        """Repeat the pass until ``until``, finishing the pass under way.
+
+        The calls of one pass differ in latency by two orders of magnitude
+        and the median falls between two of them, so a sample cut inside a
+        pass moves it; with whole passes every run samples the same mix.
+        """
         ops: List[Op] = []
         calls = self.calls()
         n = 0
-        while True:
+        while time.perf_counter() < until:
             for label, kind, call in calls:
-                if time.perf_counter() >= until:
-                    return ops
                 trace_id = f"{trace_prefix}{n:016x}"
                 if on_call is not None:
                     on_call(trace_id)
@@ -163,6 +166,7 @@ class Library:
                 value = call()
                 ops.append(Op(label, kind, sent, time.perf_counter(), trace_id, value))
                 n += 1
+        return ops
 
     # -- correctness ----------------------------------------------------------------
 

@@ -8,9 +8,10 @@ Usage (from the repository root)::
 Workloads (see ``BENCHMARK.json`` for why each exists):
 
 * ``serve_cpu`` — process-mode server (``--workers 2``), the ``cpu``
-  rotation over a generated instance, two connections;
-* ``serve_write`` — thread-mode server with a durable store, PATCH writes
-  beside reads on a generated instance registered with 8 shards;
+  rotation over four generated instances;
+* ``serve_write`` — thread-mode server with a durable store, one
+  connection sending PATCH writes and re-reads to four generated
+  instances registered with 8 shards each;
 * ``library`` — in-process engine calls on a generated ~500-block
   instance, one caller.
 
@@ -45,6 +46,8 @@ OUT_DIR = os.path.join(ROOT, ".perfbench")
 
 WORKLOADS = ("serve_cpu", "serve_write", "library")
 SERVE_SETUPS = 3
+#: Width of the slices whose median rate is a serve workload's ``ops_per_s``.
+SLICE_S = 5.0
 LIBRARY_SETUPS = 5
 
 END_TO_END = (
@@ -167,15 +170,29 @@ class Outcome:
         self.failures.extend(failures)
 
 
-def end_to_end(outcome, ops, start, tail_pct, setups, rss_mb) -> None:
-    from stats import latency_summary, median, tail_percentile_for
+def end_to_end(outcome, ops, start, tail_pct, setups, rss_mb, slice_s=None) -> None:
+    """Fill the end-to-end metrics of an untraced window.
+
+    With ``slice_s``, ``ops_per_s`` is the median rate over consecutive
+    slices of that many seconds, so a few seconds in which the host ran
+    slow do not move it; without, it is the rate over the whole window.
+    """
+    from stats import latency_summary, median, percentile, slice_rates, tail_percentile_for
 
     finished = max(op.received for op in ops)
     answers = [op.latency_ms for op in ops if op.kind == "answer"]
     summary = latency_summary(answers, tail_pct)
+    window_rate = len(ops) / (finished - start)
+    rates = slice_rates([op.received for op in ops], start, finished, slice_s) if slice_s else []
+    rate = median(rates) if rates else window_rate
+    outcome.notes["slice_ops_per_s"] = [round(r, 2) for r in rates]
+    outcome.notes["window_ops_per_s"] = window_rate
+    outcome.notes["answer_ms_percentiles"] = {
+        f"p{pct}": round(percentile(answers, pct), 3) for pct in (50, 75, 90, 95, 97, 99)
+    }
     outcome.metrics.update(
         setup_s=median(setups),
-        ops_per_s=len(ops) / (finished - start),
+        ops_per_s=rate,
         p50_ms=summary["p50_ms"],
         tail_ms=summary["tail_ms"],
         success_rate=1.0 - len(outcome.failures) / outcome.attempted,
@@ -394,7 +411,7 @@ def run_serve(name: str, seed: int, seconds: float, trace: bool, run_dir: str) -
         finally:
             server.stop()
         outcome.add_checked(len(ops), workload.check(ops))
-        end_to_end(outcome, ops, start, workload.tail_pct, setups, rss)
+        end_to_end(outcome, ops, start, workload.tail_pct, setups, rss, SLICE_S)
     else:
         server, warm = _boot(workload, run_dir, "untraced", None)
         try:

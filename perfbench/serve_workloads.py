@@ -82,10 +82,14 @@ def whole_sum_reference(instance):
 
 
 class ServeWorkload:
-    """Common shape of the HTTP workloads (two closed-loop connections)."""
+    """Common shape of the HTTP workloads (one closed-loop connection)."""
 
     name = ""
-    connections = 2
+    # Each workload drives one connection.  With two on a 2-vCPU host the
+    # figures followed the host's share of a second core: over six seeds
+    # serve_cpu's p50 and p95 spread 0.17 and 0.25 (0.10 and 0.14 with
+    # one), serve_write's ops_per_s 0.17 (0.13 with one).
+    connections = 1
     loop = "closed"
     tail_pct = 99
 
@@ -213,49 +217,55 @@ def _rotate(rotation: Sequence[Request], offset: int) -> Iterator[Request]:
 
 
 class ServeCpu(ServeWorkload):
-    """The ``cpu`` rotation over a generated instance, process mode."""
+    """The ``cpu`` rotation over generated instances, process mode."""
 
     name = "serve_cpu"
-    # A 35 s run collects 1000-1300 answers, so p99 would have 10-13 samples
-    # beyond it; p95 is the highest tail that keeps ten at the low end.
+    # A 35 s run collects 700-950 answers, so p99 would keep fewer than ten
+    # samples beyond it; p95 keeps 35-47.
     tail_pct = 95
     blocks = 160
     # The per-town GROUP BY lub is a branch-and-bound search per town; at
     # the generator's 0.2 its cost ranged 63-266 ms over seeds, at 0.1 the
     # seeds compare.
     inconsistency = 0.1
+    # Even at 0.1 one instance's rotation cost 96-180 ms over ten seeds;
+    # the rotation runs over several independently generated instances,
+    # so a run averages their costs.
+    generated = 4
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
-        self.instances["workload"] = generated_instance(
-            self.blocks, derive_seed(seed, self.name), self.inconsistency
-        )
+        self.names = [f"workload{k}" for k in range(self.generated)]
+        for name in self.names:
+            self.instances[name] = generated_instance(
+                self.blocks, derive_seed(seed, f"{self.name}/{name}"), self.inconsistency
+            )
 
     def serve_args(self, store_dir: str) -> List[str]:
         return ["--workers", "2"]
 
     def register(self, port: int) -> None:
-        _register(port, "workload", self.instances["workload"], shards=1)
+        for name in self.names:
+            _register(port, name, self.instances[name], shards=1)
 
     def rotation(self) -> List[Request]:
-        return [
-            _query_request("/answer", "workload", WHOLE_MAX),
-            _query_request("/answer", "workload", WHOLE_MIN),
-            _query_request("/answer_group_by", "workload", TOWN_SUM),
-            _query_request("/answer", "stock", STOCK_SUM),
-            _many_request([("workload", WHOLE_MAX), ("workload", WHOLE_MIN)]),
-        ]
+        requests = []
+        for name in self.names:
+            requests += [
+                _query_request("/answer", name, WHOLE_MAX),
+                _query_request("/answer", name, WHOLE_MIN),
+                _query_request("/answer_group_by", name, TOWN_SUM),
+                _query_request("/answer", "stock", STOCK_SUM),
+                _many_request([(name, WHOLE_MAX), (name, WHOLE_MIN)]),
+            ]
+        return requests
 
     def warmup_scripts(self):
-        # Each connection warms every plan once; both workers see traffic.
-        return [iter(self.rotation()) for _ in range(self.connections)]
+        return [iter(self.rotation())]
 
     def scripts(self):
         rotation = self.rotation()
-        start = self.seed % len(rotation)
-        return [
-            _rotate(rotation, start + conn * 2) for conn in range(self.connections)
-        ]
+        return [_rotate(rotation, self.seed % len(rotation))]
 
     def provenance(self):
         return {
@@ -274,11 +284,13 @@ class WriteCycle:
     ``balanced`` shard placement re-pack.  The instance is back at its
     registered state after every eight writes.  Cycling over several
     blocks averages the cost of the shards they sit in, so seeds compare.
+    The first write starts ``skip`` phases into the cycle; an even
+    ``skip`` starts it at a pair, from the registered state.
     """
 
     PHASES = ("replace", "restore") * 3 + ("insert", "delete")
 
-    def __init__(self, instance, seed: int, blocks: int = 8) -> None:
+    def __init__(self, instance, seed: int, blocks: int = 8, skip: int = 0) -> None:
         stock = sorted(
             (b for b in instance.blocks("Stock") if len(b) == 1),
             key=lambda b: repr(sorted(b, key=repr)),
@@ -292,11 +304,12 @@ class WriteCycle:
                 (fact, fact.values[:2] + (top + 7,), fact.values[:2] + (top + 11,))
             )
         self.period = len(self.PHASES) * len(self.blocks)
+        self.skip = skip
         self._count = itertools.count(1)
         self._lock = threading.Lock()
 
     def _phase(self, write_number: int) -> Tuple[int, str]:
-        r = (write_number - 1) % self.period
+        r = (write_number - 1 + self.skip) % self.period
         return r // len(self.PHASES), self.PHASES[r % len(self.PHASES)]
 
     def ops_for(self, write_number: int) -> List[Tuple[str, Tuple]]:
@@ -342,13 +355,13 @@ class WriteCycle:
 
 
 class ServeWrite(ServeWorkload):
-    """PATCH writes beside reads on a durable, sharded instance."""
+    """PATCH writes, each followed by reads, on durable sharded instances."""
 
     name = "serve_write"
-    # About 1% of reads follow a size-changing write and recompute all eight
-    # shards (~250 ms); p99 sits on the edge of that mode and moved 206-398
-    # ms between runs, so the tail is p95, inside the one-shard miss mode.
-    tail_pct = 95
+    # The one connection writes and reads, so every run serves the same
+    # mix: per PATCH, two reads that miss the summary cache and four that
+    # hit.  p99 lies inside the mode of reads after a size-changing write.
+    tail_pct = 99
     blocks = 250
     shards = 8
     # The lub of the whole-relation SUM is found by branch and bound per
@@ -356,6 +369,11 @@ class ServeWrite(ServeWorkload):
     # a shard.  At the generator's 0.2 the cold answer ranged 156-642 ms
     # over seeds; at 0.1 it stays within 45-80 ms, so seeds compare.
     inconsistency = 0.1
+    # The cost of a write cycle depends on the generated instance: over ten
+    # seeds one 250-block instance ranged 3.6-5.2 s per 64 writes.  The
+    # writer turns over several independently generated instances, so a
+    # run averages their costs and seeds compare.
+    ledgers = 4
     # The writer re-reads both queries this many times per PATCH.  With one
     # re-read about half of all reads miss the summary cache, so the median
     # sits in the gap between the hit (~5 ms) and miss (~40 ms) modes and
@@ -365,59 +383,78 @@ class ServeWrite(ServeWorkload):
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
-        self.instances["ledger"] = generated_instance(
-            self.blocks, derive_seed(seed, self.name), self.inconsistency
-        )
-        self.cycle = WriteCycle(self.instances["ledger"], derive_seed(seed, "writes"))
-        self.base_version = 0
-        #: (write number, sent, acknowledged) per completed PATCH.
-        self.write_log: List[Tuple[int, float, float]] = []
-        self._mirrors: Dict[object, object] = {}
+        self.names = [f"ledger{k}" for k in range(self.ledgers)]
+        for name in self.names:
+            self.instances[name] = generated_instance(
+                self.blocks, derive_seed(seed, f"{self.name}/{name}"), self.inconsistency
+            )
+        self._reset()
+        self._mirrors: Dict[Tuple[str, object], object] = {}
+
+    def _reset(self) -> None:
+        # Writes go to the instances in turn.  Each instance's cycle starts
+        # two phases after the previous one's, so every round of writes
+        # holds one size-changing write instead of all of them falling in
+        # the same rounds: the cost per second stays level through a run.
+        self.cycles = {
+            name: WriteCycle(
+                self.instances[name], derive_seed(self.seed, f"writes/{name}"), skip=2 * k
+            )
+            for k, name in enumerate(self.names)
+        }
+        self.base_versions = dict.fromkeys(self.names, 0)
+        #: Per instance, (write number, sent, acknowledged) per completed PATCH.
+        self.write_logs: Dict[str, List[Tuple[int, float, float]]] = {
+            name: [] for name in self.names
+        }
+        self._turn = itertools.count()
 
     def serve_args(self, store_dir: str) -> List[str]:
         return ["--store-dir", store_dir]
 
     def register(self, port: int) -> None:
-        reply = _register(port, "ledger", self.instances["ledger"], shards=self.shards)
-        self.base_version = reply["registered"]["version"]
-        self.cycle = WriteCycle(self.instances["ledger"], derive_seed(self.seed, "writes"))
-        self.write_log = []
+        self._reset()
+        for name in self.names:
+            reply = _register(port, name, self.instances[name], shards=self.shards)
+            self.base_versions[name] = reply["registered"]["version"]
 
-    def _reads(self) -> List[Request]:
+    def _reads(self, name: str) -> List[Request]:
         return [
-            _query_request("/answer", "ledger", WHOLE_SUM),
-            _query_request("/answer_group_by", "ledger", TOWN_SUM),
+            _query_request("/answer", name, WHOLE_SUM),
+            _query_request("/answer_group_by", name, TOWN_SUM),
         ]
 
-    def _writes(self) -> Iterator[Request]:
-        while True:
-            number = self.cycle.next_number()
-            ops = [
-                {"op": op, "relation": "Stock", "values": list(values)}
-                for op, values in self.cycle.ops_for(number)
-            ]
+    def _write(self, name: str) -> Request:
+        number = self.cycles[name].next_number()
+        ops = [
+            {"op": op, "relation": "Stock", "values": list(values)}
+            for op, values in self.cycles[name].ops_for(number)
+        ]
 
-            def record(result: Result, number=number) -> None:
-                self.write_log.append((number, result.sent, result.received))
+        def record(result: Result) -> None:
+            self.write_logs[name].append((number, result.sent, result.received))
 
-            yield json_request(
-                "PATCH", "/instances/ledger", {"ops": ops}, "write", ("patch", number), record
-            )
+        return json_request(
+            "PATCH", f"/instances/{name}", {"ops": ops}, "write", ("patch", name, number), record
+        )
 
     def _writer_script(self) -> Iterator[Request]:
-        writes = self._writes()
         while True:
-            yield next(writes)
+            name = self.names[next(self._turn) % len(self.names)]
+            yield self._write(name)
             for _ in range(self.rereads):
-                yield from self._reads()
+                yield from self._reads(name)
 
     def warmup_scripts(self):
-        writes = self._writes()
-        warm = self._reads() + [next(writes) for _ in self.cycle.PHASES]
-        return [iter(warm + self._reads())]
+        warm: List[Request] = []
+        for name in self.names:
+            warm += self._reads(name)
+            warm += [self._write(name) for _ in WriteCycle.PHASES]
+            warm += self._reads(name)
+        return [iter(warm)]
 
     def scripts(self):
-        return [self._writer_script(), _rotate(self._reads(), self.seed % 2)]
+        return [self._writer_script()]
 
     def reference(self, instance_name: str, query_text: str, state=None):
         """As the base class, but a written state recomputes only its town.
@@ -434,20 +471,24 @@ class ServeWrite(ServeWorkload):
             groups = dict(super().reference(instance_name, query_text, None))
             instance = self.instance_at(instance_name, state)
             query = parse_aggregation_query(instance.schema, query_text)
-            town = self.cycle.blocks[state[0]][0].values[1]
+            town = self.cycles[instance_name].blocks[state[0]][0].values[1]
             [variable] = query.free_variables
             groups[(town,)] = self._engine.answer(query, instance, {variable.name: town})
             self._references[key] = groups
         return self._references[key]
 
     def instance_at(self, instance_name: str, state):
-        if state not in self._mirrors:
-            self._mirrors[state] = self.cycle.apply(self.instances[instance_name], state)
-        return self._mirrors[state]
+        key = (instance_name, state)
+        if key not in self._mirrors:
+            self._mirrors[key] = self.cycles[instance_name].apply(
+                self.instances[instance_name], state
+            )
+        return self._mirrors[key]
 
     def check_result(self, result: Result) -> Optional[str]:
         if result.tag[0] == "patch":
-            expected = self.base_version + result.tag[1]
+            _kind, name, number = result.tag
+            expected = self.base_versions[name] + number
             try:
                 version = json.loads(result.body).get("version")
             except (ValueError, AttributeError) as exc:
@@ -455,11 +496,12 @@ class ServeWrite(ServeWorkload):
             return None if version == expected else f"{result.tag}: version {version}"
         # Writes whose acknowledgement preceded this read are visible;
         # writes sent before its reply arrived may be.
-        lo = max((n for n, _s, acked in self.write_log if acked < result.sent), default=0)
-        hi = max(
-            (n for n, sent, _a in self.write_log if sent < result.received), default=0
-        )
-        states = frozenset(self.cycle.state_after(n) for n in range(lo, hi + 1))
+        name = result.tag[1]
+        log = self.write_logs[name]
+        lo = max((n for n, _s, acked in log if acked < result.sent), default=0)
+        hi = max((n for n, sent, _a in log if sent < result.received), default=0)
+        cycle = self.cycles[name]
+        states = frozenset(cycle.state_after(n) for n in range(lo, hi + 1))
         key = (result.tag, result.body, states)
         if key not in self._checked:
             try:
@@ -478,7 +520,8 @@ class ServeWrite(ServeWorkload):
             "shards": self.shards,
             "shard_strategy": "balanced",
             "inconsistency": self.inconsistency,
-            "writes_per_cycle": self.cycle.period,
+            "written_instances": self.ledgers,
+            "writes_per_cycle": self.cycles[self.names[0]].period,
             "store": "fsync log, compact every 64 records",
         }
 

@@ -38,6 +38,26 @@ def median(values: Sequence[float]) -> float:
     return percentile(values, 50)
 
 
+def slice_rates(times: Sequence[float], start: float, end: float, width: float) -> list:
+    """Event rates in consecutive ``width``-second slices of [start, end).
+
+    A slice's rate is its events after the first divided by the time from
+    its first event to its last, so it is not rounded to whole events per
+    slice.  Slices with fewer than two events are left out.
+    """
+    slices = max(1, int((end - start) // width))
+    members = [[] for _ in range(slices)]
+    for moment in times:
+        index = int((moment - start) // width)
+        if 0 <= index < slices:
+            members[index].append(moment)
+    return [
+        (len(group) - 1) / (max(group) - min(group))
+        for group in members
+        if len(group) >= 2 and max(group) > min(group)
+    ]
+
+
 def latency_summary(latencies_ms: Sequence[float], tail_pct: int) -> Dict[str, float]:
     tail = percentile(latencies_ms, tail_pct)
     return {
