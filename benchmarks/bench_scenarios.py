@@ -14,9 +14,10 @@ the states existed — swept over the adversarial scenarios of
 
 Every (scenario, aggregate) cell answers the closed whole-Stock query
 unsharded and with each requested shard count, asserts exact parity (a fast
-wrong answer is worthless), and reports per-cell wall-clock and speedups to
-``BENCH_scenarios.json`` — the report uses the same ``queries`` schema as
-``BENCH_shard.json``, so ``check_regression.py`` gates both alike.
+wrong answer is worthless), and reports per-cell wall-clock (the median of
+five cold calls) and speedups to ``BENCH_scenarios.json`` — the report uses
+the same ``queries`` schema as ``BENCH_shard.json``, so
+``check_regression.py`` gates both alike.
 
 Block counts are small by design: the *unsharded* baseline for these
 aggregates runs the exact decision procedure whose cost is exponential in
@@ -41,19 +42,39 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
-from repro.engine import ConsistentAnswerEngine
+from repro.engine import (
+    ConsistentAnswerEngine,
+    clear_shard_plan_cache,
+    clear_summary_cache,
+)
 from repro.engine.sharding import SUMMARY_AGGREGATES, ShardPlanner, execute_sharded
 from repro.workloads.generators import AdversarialSpec, adversarial_catalogue
 from repro.workloads.queries import stock_total_query
 
 
+#: Each cell's time is the median of this many calls.  With one call, a
+#: full garbage collection landing in the call's window decided the cell.
+REPEATS = 5
+
+
 def _timed(fn):
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started
+    """Median wall-clock of :data:`REPEATS` calls of ``fn`` and its result.
+
+    The summary and shard-plan caches are cleared before every call, so
+    each call does the work of a first, cold call.
+    """
+    seconds = []
+    for _ in range(REPEATS):
+        clear_summary_cache()
+        clear_shard_plan_cache()
+        started = time.perf_counter()
+        result = fn()
+        seconds.append(time.perf_counter() - started)
+    return result, statistics.median(seconds)
 
 
 def run_bench(blocks: int, shard_counts, seed: int, workers: int) -> dict:

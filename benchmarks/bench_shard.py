@@ -4,14 +4,17 @@ A standalone script (like ``bench_serve.py``): it generates the Stock
 scalability workload, answers three representative queries unsharded and
 with ``shards ∈ {2, 4, 8}``, verifies the answers are *identical* (the
 benchmark doubles as a parity check — a fast wrong answer is worthless),
-and writes ``BENCH_shard.json`` with per-query wall-clock and speedups.
+and writes ``BENCH_shard.json`` with per-query wall-clock (the median of
+five cold calls) and speedups.
 
 The three queries cover the seams sharding helps:
 
 * ``closed_max`` / ``closed_min`` — closed MIN/MAX over the whole Stock
-  relation; both directions run the MIN/MAX rewriting per shard, so the
-  win is the per-shard evaluation running on a fraction of the instance
-  (and, on multi-core hosts with ``--workers > 1``, in parallel).
+  relation; both directions run the MIN/MAX rewriting per shard.  The
+  evaluators look blocks up by key, so their cost is linear in the
+  instance and on one core the per-shard split no longer pays for the
+  planning and merging it adds; the win needs ``--workers > 1`` on a
+  multi-core host.
 * ``groupby_town_sum`` — per-town SUM: the unsharded engine evaluates every
   group against the full instance, the sharded engine evaluates each
   shard's groups against that shard only, an O(groups × instance) →
@@ -33,10 +36,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 
-from repro.engine import ConsistentAnswerEngine, ShardPlanner
+from repro.engine import (
+    ConsistentAnswerEngine,
+    ShardPlanner,
+    clear_shard_plan_cache,
+    clear_summary_cache,
+)
 from repro.engine.sharding import execute_sharded
 from repro.workloads.generators import InconsistentDatabaseGenerator, WorkloadSpec
 from repro.workloads.queries import stock_total_query, stock_town_groupby_query
@@ -64,10 +73,25 @@ def bench_queries():
     ]
 
 
+#: Each cell's time is the median of this many calls.  With one call, a
+#: full garbage collection landing in the call's window decided the cell.
+REPEATS = 5
+
+
 def _timed(fn):
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started
+    """Median wall-clock of :data:`REPEATS` calls of ``fn`` and its result.
+
+    The summary and shard-plan caches are cleared before every call, so
+    each call does the work of a first, cold call.
+    """
+    seconds = []
+    for _ in range(REPEATS):
+        clear_summary_cache()
+        clear_shard_plan_cache()
+        started = time.perf_counter()
+        result = fn()
+        seconds.append(time.perf_counter() - started)
+    return result, statistics.median(seconds)
 
 
 def run_bench(

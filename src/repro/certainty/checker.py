@@ -26,15 +26,6 @@ from repro.query.terms import is_variable
 Binding = Dict[str, Constant]
 
 
-def _blocks_by_relation(instance: DatabaseInstance, relation: str):
-    """Group the facts of one relation into blocks keyed by primary-key value."""
-    signature = instance.schema.relation(relation)
-    blocks: Dict[Tuple[Constant, ...], List[Fact]] = {}
-    for fact in instance.relation(relation):
-        blocks.setdefault(fact.key(signature.key_size), []).append(fact)
-    return blocks
-
-
 def _key_matches(atom: Atom, key_values: Tuple[Constant, ...], binding: Binding) -> Optional[Binding]:
     """Unify the atom's key terms with block key values under ``binding``.
 
@@ -78,12 +69,20 @@ def certain_suffix_holds(
     """Does every repair satisfy the conjunction of ``atoms`` under ``binding``?
 
     ``atoms`` must be listed in an order compatible with a topological sort of
-    the attack graph (bound variables treated as constants).
+    the attack graph (bound variables treated as constants).  When the first
+    atom's key is bound, the one block it names is the only candidate.
     """
     if not atoms:
         return True
-    first, rest = atoms[0], list(atoms[1:])
-    for key_values, block in _blocks_by_relation(instance, first.relation).items():
+    first, rest = atoms[0], atoms[1:]
+    blocks = instance.relation_blocks(first.relation)
+    key = first.key_under(binding)
+    if key is None:
+        candidates = blocks.items()
+    else:
+        block = blocks.get(key)
+        candidates = () if block is None else ((key, block),)
+    for key_values, block in candidates:
         with_key = _key_matches(first, key_values, binding)
         if with_key is None:
             continue
@@ -127,8 +126,8 @@ def _has_embedding(
         if index == len(query.atoms):
             return True
         atom = query.atoms[index]
-        for fact in instance.relation(atom.relation):
-            grounded = atom.apply_valuation(current)
+        grounded = atom.apply_valuation(current)
+        for fact in atom.candidate_facts(instance, current):
             match = grounded.match(fact)
             if match is None:
                 continue
@@ -195,8 +194,8 @@ def _collect_answers(
             out.add(tuple(current[v.name] for v in free))
             return
         atom = query.atoms[index]
-        for fact in instance.relation(atom.relation):
-            grounded = atom.apply_valuation(current)
+        grounded = atom.apply_valuation(current)
+        for fact in atom.candidate_facts(instance, current):
             match = grounded.match(fact)
             if match is None:
                 continue

@@ -10,8 +10,19 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.datamodel.facts import Constant, Fact
 from repro.datamodel.signature import Schema
@@ -19,8 +30,11 @@ from repro.exceptions import SchemaError
 from repro.util import stable_hash_64
 
 BlockKey = Tuple[str, Tuple[Constant, ...]]
+#: The block index: relation name → primary-key values → the block's facts.
+BlockIndex = Dict[str, Dict[Tuple[Constant, ...], set[Fact]]]
 
 _LINEAGE_IDS = itertools.count(1)
+_NO_BLOCKS: Dict[Tuple[Constant, ...], set[Fact]] = {}
 
 
 def canonical_shard_slot(block_key: BlockKey, slots: int) -> int:
@@ -73,12 +87,16 @@ class DatabaseInstance:
     The instance offers block-level access (the unit of inconsistency), repair
     enumeration and counting, and convenience constructors used throughout the
     library, examples and tests.
+
+    Blocks are indexed by relation, then by primary-key values, so a relation
+    costs O(|R|) to list and a block whose key is known costs one lookup
+    (:meth:`relation_blocks`).  Empty blocks and relations are never kept.
     """
 
     def __init__(self, schema: Schema, facts: Optional[Iterable[Fact]] = None) -> None:
         self._schema = schema
         self._facts: set[Fact] = set()
-        self._blocks: Dict[BlockKey, set[Fact]] = defaultdict(set)
+        self._blocks: BlockIndex = {}
         self._data_version = 0
         self._block_items: Optional[
             Tuple[int, List[Tuple[BlockKey, Tuple[Fact, ...]]]]
@@ -117,11 +135,22 @@ class DatabaseInstance:
         if fact in self._facts:
             return None
         self._facts.add(fact)
-        block_key = (fact.relation, fact.key(signature.key_size))
-        self._blocks[block_key].add(fact)
+        block_key = self._index(fact, signature.key_size)
         self._data_version += 1
         self._block_versions[block_key] = self._clock.tick()
         return block_key
+
+    def _index(self, fact: Fact, key_size: int) -> BlockKey:
+        key = fact.key(key_size)
+        blocks = self._blocks.get(fact.relation)
+        if blocks is None:
+            blocks = self._blocks[fact.relation] = {}
+        block = blocks.get(key)
+        if block is None:
+            blocks[key] = {fact}
+        else:
+            block.add(fact)
+        return (fact.relation, key)
 
     def add_row(self, relation: str, *values: Constant) -> None:
         """Convenience wrapper: ``add_row("R", 1, 2)`` adds the fact ``R(1, 2)``."""
@@ -139,14 +168,18 @@ class DatabaseInstance:
             raise KeyError(fact)
         signature = self._schema.relation(fact.relation)
         self._facts.remove(fact)
-        block_key = (fact.relation, fact.key(signature.key_size))
-        block = self._blocks[block_key]
+        key = fact.key(signature.key_size)
+        block_key = (fact.relation, key)
+        relation_blocks = self._blocks[fact.relation]
+        block = relation_blocks[key]
         block.discard(fact)
         self._data_version += 1
         if block:
             self._block_versions[block_key] = self._clock.tick()
         else:
-            del self._blocks[block_key]
+            del relation_blocks[key]
+            if not relation_blocks:
+                del self._blocks[fact.relation]
             # No tombstone: a vanished block leaves summary-cache tokens via
             # its absence, and a later re-add draws a strictly newer stamp.
             self._block_versions.pop(block_key, None)
@@ -202,14 +235,36 @@ class DatabaseInstance:
         dup = DatabaseInstance.__new__(DatabaseInstance)
         dup._schema = self._schema
         dup._facts = set(self._facts)
-        dup._blocks = defaultdict(set)
-        for key, facts in self._blocks.items():
-            dup._blocks[key] = set(facts)
+        dup._blocks = {
+            relation: {key: set(facts) for key, facts in blocks.items()}
+            for relation, blocks in self._blocks.items()
+        }
         dup._data_version = self._data_version
         dup._block_items = self._block_items
         dup._clock = self._clock
         dup._block_versions = dict(self._block_versions)
         return dup
+
+    def __getstate__(self) -> dict:
+        # The block index and its ordering memo are rebuilt from the facts
+        # on load, so pickles carry neither.
+        state = dict(self.__dict__)
+        del state["_blocks"]
+        state["_block_items"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        """Restore a pickle, rebuilding the block index from the facts.
+
+        Pickles written before the index was keyed by relation carry a
+        ``_blocks`` of another shape; it is ignored like any stored index.
+        """
+        self.__dict__.update(state)
+        self._block_items = None
+        self._blocks = {}
+        key_sizes = {signature.name: signature.key_size for signature in self._schema}
+        for fact in self._facts:
+            self._index(fact, key_sizes[fact.relation])
 
     def block_key_of(self, fact: Fact) -> BlockKey:
         """The key of the block this fact belongs to (present or not)."""
@@ -245,11 +300,27 @@ class DatabaseInstance:
 
     def relation(self, name: str) -> Tuple[Fact, ...]:
         """All facts of the given relation (the *R-relation* of the instance)."""
-        return tuple(f for f in self._facts if f.relation == name)
+        return tuple(
+            fact
+            for block in self._blocks.get(name, _NO_BLOCKS).values()
+            for fact in block
+        )
+
+    def relation_blocks(
+        self, name: str
+    ) -> Mapping[Tuple[Constant, ...], AbstractSet[Fact]]:
+        """The blocks of one relation, keyed by their primary-key values.
+
+        A read-only live view of the index: ``relation_blocks(r).get(key)``
+        is the block that ``key`` names, or ``None``.  Keys compare by value,
+        so an ``int`` key is found by an equal ``Fraction``.  Callers must
+        not mutate the returned sets.
+        """
+        return MappingProxyType(self._blocks.get(name, _NO_BLOCKS))
 
     def relation_names(self) -> Tuple[str, ...]:
         """Names of relations that actually contain facts."""
-        return tuple(sorted({f.relation for f in self._facts}))
+        return tuple(sorted(self._blocks))
 
     # -- blocks and consistency ------------------------------------------------
 
@@ -278,21 +349,26 @@ class DatabaseInstance:
         cached = self._block_items
         if cached is not None and cached[0] == self._data_version:
             return cached[1]
-        items = [
-            (key, tuple(sorted(facts, key=repr)))
-            for key, facts in sorted(self._blocks.items(), key=lambda kv: repr(kv[0]))
-        ]
+        items = sorted(
+            (
+                ((relation, key), tuple(sorted(facts, key=repr)))
+                for relation, blocks in self._blocks.items()
+                for key, facts in blocks.items()
+            ),
+            key=lambda kv: repr(kv[0]),
+        )
         self._block_items = (self._data_version, items)
         return items
 
     def block_count(self) -> int:
-        """How many blocks the instance has — O(1), unlike :meth:`blocks`."""
-        return len(self._blocks)
+        """How many blocks the instance has — O(relations), unlike :meth:`blocks`."""
+        return sum(len(blocks) for blocks in self._blocks.values())
 
     def block_of(self, fact: Fact) -> FrozenSet[Fact]:
         """The block containing ``fact`` (key-equal facts of the same relation)."""
         signature = self._schema.relation(fact.relation)
-        return frozenset(self._blocks[(fact.relation, fact.key(signature.key_size))])
+        block = self.relation_blocks(fact.relation).get(fact.key(signature.key_size))
+        return frozenset(block or ())
 
     def inconsistent_blocks(self, relation: Optional[str] = None) -> List[FrozenSet[Fact]]:
         """Blocks containing at least two (key-equal, hence conflicting) facts."""
@@ -313,12 +389,16 @@ class DatabaseInstance:
             return 0.0
         return len([b for b in all_blocks if len(b) > 1]) / len(all_blocks)
 
+    def _all_blocks(self) -> Iterator[set[Fact]]:
+        for blocks in self._blocks.values():
+            yield from blocks.values()
+
     # -- repairs ---------------------------------------------------------------
 
     def repair_count(self) -> int:
         """Number of repairs (product of block sizes)."""
         count = 1
-        for block in self._blocks.values():
+        for block in self._all_blocks():
             count *= len(block)
         return count
 
@@ -329,7 +409,7 @@ class DatabaseInstance:
         blocks; this generator is intended for ground-truth computations on
         small instances and for tests.
         """
-        ordered_blocks = [sorted(b, key=repr) for b in self._blocks.values()]
+        ordered_blocks = [sorted(b, key=repr) for b in self._all_blocks()]
         if not ordered_blocks:
             yield DatabaseInstance(self._schema)
             return
@@ -338,7 +418,7 @@ class DatabaseInstance:
 
     def arbitrary_repair(self) -> "DatabaseInstance":
         """Return one (deterministic) repair: the lexicographically first pick."""
-        picks = [min(block, key=repr) for block in self._blocks.values()]
+        picks = [min(block, key=repr) for block in self._all_blocks()]
         return DatabaseInstance(self._schema, picks)
 
     def falsifying_repair_exists(self, predicate) -> bool:

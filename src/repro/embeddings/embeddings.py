@@ -27,8 +27,8 @@ def embeddings_of(
             results.append(Valuation(current))
             return
         atom = query.atoms[index]
-        for fact in instance.relation(atom.relation):
-            grounded = atom.apply_valuation(current)
+        grounded = atom.apply_valuation(current)
+        for fact in atom.candidate_facts(instance, current):
             match = grounded.match(fact)
             if match is None:
                 continue

@@ -100,8 +100,8 @@ class ForallEmbeddingComputer:
         extended_list: List[Binding] = []
         seen: Set[Tuple] = set()
         for partial in partials:
-            for fact in self._instance.relation(atom.relation):
-                grounded = atom.apply_valuation(partial)
+            grounded = atom.apply_valuation(partial)
+            for fact in atom.candidate_facts(self._instance, partial):
                 match = grounded.match(fact)
                 if match is None:
                     continue
@@ -129,8 +129,8 @@ class ForallEmbeddingComputer:
         if not atoms:
             return True
         first, rest = atoms[0], atoms[1:]
-        for fact in self._instance.relation(first.relation):
-            grounded = first.apply_valuation(binding)
+        grounded = first.apply_valuation(binding)
+        for fact in first.candidate_facts(self._instance, binding):
             match = grounded.match(fact)
             if match is None:
                 continue

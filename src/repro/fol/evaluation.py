@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.aggregates.operators import get_operator
-from repro.datamodel.facts import Constant, is_numeric_constant
+from repro.datamodel.facts import Constant, Fact, is_numeric_constant
 from repro.datamodel.instance import DatabaseInstance
 from repro.exceptions import EvaluationError
 from repro.fol.syntax import (
@@ -239,10 +239,7 @@ class FormulaEvaluator:
                 grounded_terms.append(env[term.name])
             else:
                 grounded_terms.append(term)
-        return any(
-            fact.values == tuple(grounded_terms)
-            for fact in self._instance.relation(atom.relation)
-        )
+        return Fact(atom.relation, tuple(grounded_terms)) in self._instance
 
     def _eval_comparison(
         self, formula: Comparison, env: Environment, domain: Sequence[Constant]

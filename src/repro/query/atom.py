@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Iterable, Mapping, Optional, Tuple
 
-from repro.datamodel.facts import Fact
+from repro.datamodel.facts import Constant, Fact
 from repro.datamodel.signature import RelationSignature
 from repro.exceptions import QueryError
 from repro.query.terms import Term, Variable, is_variable, term_str
+
+if TYPE_CHECKING:
+    from repro.datamodel.instance import DatabaseInstance
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,34 @@ class Atom:
             elif term != value:
                 return None
         return bindings
+
+    def key_under(
+        self, valuation: Mapping[str, object]
+    ) -> Optional[Tuple[Constant, ...]]:
+        """The primary-key values under ``valuation``; ``None`` while a key
+        variable is unbound."""
+        values = []
+        for term in self.key_terms:
+            if is_variable(term):
+                if term.name not in valuation:
+                    return None
+                values.append(valuation[term.name])
+            else:
+                values.append(term)
+        return tuple(values)
+
+    def candidate_facts(
+        self, instance: "DatabaseInstance", valuation: Mapping[str, object]
+    ) -> Iterable[Fact]:
+        """The facts of ``instance`` this atom can match under ``valuation``.
+
+        Once the key is bound it names at most one block, so only that
+        block's facts are returned; otherwise the whole relation is.
+        """
+        key = self.key_under(valuation)
+        if key is None:
+            return instance.relation(self.relation)
+        return instance.relation_blocks(self.relation).get(key, ())
 
     def ground(self, valuation: Mapping[str, object]) -> Fact:
         """Turn the atom into a fact using a valuation covering all variables."""

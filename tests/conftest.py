@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copyreg
 import os
+import pickle
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -125,3 +128,47 @@ def random_instance_factory(two_atom_schema):
         return make_random_instance(two_atom_schema, seed, **kwargs)
 
     return factory
+
+
+class _FlatIndexPickle:
+    """Pickles as a :class:`DatabaseInstance` whose state is ``state``."""
+
+    def __init__(self, state: dict) -> None:
+        self.state = state
+
+    def __reduce__(self):
+        return (copyreg._reconstructor, (DatabaseInstance, object, None), self.state)
+
+
+def flat_index_instance(instance: DatabaseInstance) -> _FlatIndexPickle:
+    """A stand-in that pickles ``instance`` in the flat-index format.
+
+    Before the block index was keyed by relation, an instance pickled its
+    whole ``__dict__``: one ``defaultdict(set)`` of blocks keyed by
+    ``(relation, key values)``, and the block-order memo.  Snapshots and
+    worker spools written then still carry that state.
+    """
+    blocks = defaultdict(set)
+    for fact in instance:
+        blocks[instance.block_key_of(fact)].add(fact)
+    items = [
+        (key, tuple(sorted(facts, key=repr)))
+        for key, facts in sorted(blocks.items(), key=lambda kv: repr(kv[0]))
+    ]
+    return _FlatIndexPickle(
+        {
+            "_schema": instance.schema,
+            "_facts": set(instance),
+            "_blocks": blocks,
+            "_data_version": instance.data_version,
+            "_block_items": (instance.data_version, items),
+            "_clock": instance._clock,
+            "_block_versions": {
+                key: instance.block_version(key) for key in blocks
+            },
+        }
+    )
+
+
+def flat_index_pickle(instance: DatabaseInstance) -> bytes:
+    return pickle.dumps(flat_index_instance(instance), protocol=pickle.HIGHEST_PROTOCOL)

@@ -1,11 +1,18 @@
 """Tests for database instances, blocks and repairs."""
 
+import pickle
+from collections import defaultdict
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datamodel.facts import Fact
 from repro.datamodel.instance import DatabaseInstance
 from repro.datamodel.signature import RelationSignature, Schema
 from repro.exceptions import SchemaError
+from tests.conftest import flat_index_pickle
 
 
 @pytest.fixture
@@ -160,3 +167,129 @@ class TestTransformations:
         second = DatabaseInstance.from_rows(simple_schema, {"R": [("a", 1)]})
         assert first == second
         assert hash(first) == hash(second)
+
+
+class TestRelationBlocks:
+    def test_lookup_by_key(self, simple_schema):
+        instance = DatabaseInstance.from_rows(
+            simple_schema, {"R": [("a", 1), ("a", 2), ("b", 1)], "S": [("x", "y")]}
+        )
+        blocks = instance.relation_blocks("R")
+        assert set(blocks) == {("a",), ("b",)}
+        assert blocks[("a",)] == {Fact("R", ("a", 1)), Fact("R", ("a", 2))}
+        assert blocks.get(("c",)) is None
+        assert dict(instance.relation_blocks("T")) == {}
+
+    def test_numeric_key_found_by_equal_fraction(self, simple_schema):
+        instance = DatabaseInstance.from_rows(simple_schema, {"R": [(3, "v")]})
+        assert instance.relation_blocks("R")[(Fraction(3),)] == {Fact("R", (3, "v"))}
+
+    def test_view_is_read_only(self, simple_schema):
+        instance = DatabaseInstance.from_rows(simple_schema, {"R": [("a", 1)]})
+        with pytest.raises(TypeError):
+            instance.relation_blocks("R")[("b",)] = set()
+
+    def test_block_of_absent_fact_leaves_no_block(self, simple_schema):
+        instance = DatabaseInstance.from_rows(simple_schema, {"R": [("a", 1)]})
+        assert instance.block_of(Fact("R", ("z", 1))) == frozenset()
+        assert instance.block_count() == 1
+        assert instance.repair_count() == 1
+
+
+_INDEX_SCHEMA = Schema([RelationSignature("R", 2, 1), RelationSignature("T", 3, 2)])
+
+_INDEX_FACTS = st.one_of(
+    st.builds(
+        lambda key, value: Fact("R", (key, value)),
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(0, 2),
+    ),
+    st.builds(
+        lambda first, second, value: Fact("T", (first, second, value)),
+        st.integers(0, 1),
+        st.sampled_from(["x", "y"]),
+        st.integers(0, 1),
+    ),
+)
+
+_INDEX_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "remove", "discard"]), _INDEX_FACTS),
+        st.just(("copy", None)),
+    ),
+    max_size=40,
+)
+
+
+def _regrouped_block_items(instance):
+    """``block_items()`` as computed over one flat ``(relation, key)`` index."""
+    blocks = defaultdict(set)
+    for fact in instance:
+        blocks[instance.block_key_of(fact)].add(fact)
+    return [
+        (key, tuple(sorted(facts, key=repr)))
+        for key, facts in sorted(blocks.items(), key=lambda kv: repr(kv[0]))
+    ]
+
+
+def _check_index(instance):
+    expected_items = _regrouped_block_items(instance)
+    assert instance.block_items() == expected_items
+    assert instance.block_count() == len(expected_items)
+    assert instance.relation_names() == tuple(sorted({f.relation for f in instance}))
+    for signature in _INDEX_SCHEMA:
+        relation = signature.name
+        facts = instance.relation(relation)
+        assert sorted(facts, key=repr) == sorted(
+            (f for f in instance if f.relation == relation), key=repr
+        )
+        regrouped = defaultdict(set)
+        for fact in facts:
+            regrouped[fact.key(signature.key_size)].add(fact)
+        blocks = instance.relation_blocks(relation)
+        assert all(blocks.values()), "an emptied block stayed in the index"
+        assert {key: set(block) for key, block in blocks.items()} == regrouped
+
+
+class TestBlockIndexProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_INDEX_OPS)
+    def test_index_tracks_mutations_and_copies(self, ops):
+        live = DatabaseInstance(_INDEX_SCHEMA)
+        bases = []
+        for kind, fact in ops:
+            if kind == "add":
+                live.add_fact(fact)
+            elif kind == "remove":
+                if fact in live:
+                    live.remove_fact(fact)
+                else:
+                    with pytest.raises(KeyError):
+                        live.remove_fact(fact)
+            elif kind == "discard":
+                live.discard_fact(fact)
+            else:
+                bases.append((live, _regrouped_block_items(live)))
+                live = live.copy()
+            _check_index(live)
+            for base, items_at_copy in bases:
+                assert base.block_items() == items_at_copy
+                _check_index(base)
+        restored = pickle.loads(pickle.dumps(live))
+        _check_index(restored)
+        assert restored.block_items() == live.block_items()
+        assert restored.data_version == live.data_version
+
+
+class TestFlatIndexPickles:
+    def test_flat_index_pickle_loads(self, stock_instance):
+        stock_instance.discard_fact(Fact("Dealers", ("James", "Boston")))
+        restored = pickle.loads(flat_index_pickle(stock_instance))
+        assert restored == stock_instance
+        assert restored.block_items() == stock_instance.block_items()
+        assert restored.data_version == stock_instance.data_version
+        for key, _facts in stock_instance.block_items():
+            assert restored.block_version(key) == stock_instance.block_version(key)
+        assert restored.relation_names() == ("Dealers", "Stock")
+        restored.add_row("Stock", "Tesla Z", "Boston", 10)
+        assert len(restored.relation_blocks("Stock")[("Tesla Z", "Boston")]) == 1

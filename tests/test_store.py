@@ -15,8 +15,11 @@ Covers the acceptance criteria of the durability subsystem:
 """
 
 import asyncio
+import dataclasses
 import os
 import pickle
+import struct
+import zlib
 
 import pytest
 
@@ -45,6 +48,7 @@ from repro.store import (
     StoreSnapshot,
 )
 from repro.workloads.scenarios import fig1_stock_instance, fig1_stock_schema
+from tests.conftest import flat_index_instance
 
 STOCK_SUM = "SUM(y) <- Dealers('Smith', t), Stock(p, t, y)"
 STOCK_GROUP_BY = "(x, SUM(y)) <- Dealers(x, t), Stock(p, t, y)"
@@ -399,6 +403,65 @@ class TestSnapshotChecksum:
 
 
 # -- datamodel write helpers ------------------------------------------------------------
+
+
+class TestFlatIndexSnapshots:
+    """Snapshots pickled before the block index was keyed by relation."""
+
+    @staticmethod
+    def _rewrite_flat(store, name):
+        from repro.store.store import _CRC_MAGIC
+
+        path = store.snapshot_path(name)
+        with open(path, "rb") as handle:
+            snapshot = pickle.load(handle)
+        flat = dataclasses.replace(
+            snapshot, instance=flat_index_instance(snapshot.instance)
+        )
+        payload = pickle.dumps(flat, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(path, "wb") as handle:
+            handle.write(payload)
+            handle.write(_CRC_MAGIC + struct.pack(">I", zlib.crc32(payload)))
+
+    @staticmethod
+    def _answers(instance):
+        engine = ConsistentAnswerEngine()
+        schema = fig1_stock_schema()
+        return (
+            engine.answer(stock_sum_query(), instance),
+            engine.answer_group_by(
+                parse_aggregation_query(schema, STOCK_GROUP_BY), instance
+            ),
+            engine.answer(
+                stock_sum_query(), instance, AnswerOptions(shards=2, max_workers=1)
+            ),
+            ConsistentAnswerEngine(backend="sqlite").answer(
+                stock_sum_query(), instance
+            ),
+        )
+
+    def test_reopen_serves_the_same_answers(self, tmp_path):
+        store = InstanceStore(str(tmp_path))
+        store.save("stock", fig1_stock_instance(), version=3)
+        self._rewrite_flat(store, "stock")
+        stored = InstanceStore(str(tmp_path)).open_all()["stock"]
+        assert stored.version == 3
+        assert stored.instance == fig1_stock_instance()
+        assert self._answers(stored.instance) == self._answers(fig1_stock_instance())
+
+    def test_log_replays_over_a_flat_index_snapshot(self, tmp_path):
+        store = InstanceStore(str(tmp_path), compact_every=0)
+        store.save("stock", fig1_stock_instance(), version=1)
+        self._rewrite_flat(store, "stock")
+        store.mutate("stock", [("add_fact", Fact(*NEW_FACT))], version=2)
+        store.mutate("stock", [("remove_fact", Fact(*REMOVED_FACT))], version=3)
+        stored = InstanceStore(str(tmp_path)).load("stock")
+        assert stored.log_depth == 2
+        assert stored.instance == mutated_stock_instance()
+        assert stored.instance.block_items() == mutated_stock_instance().block_items()
+        assert self._answers(stored.instance) == self._answers(
+            mutated_stock_instance()
+        )
 
 
 class TestDatamodelWriteHelpers:
